@@ -76,6 +76,6 @@ pub use orchestrator::{
     FleetConfig, FleetInterrupted, CHECKPOINT_EVERY,
 };
 pub use population::{BoardSpec, CornerMix, FleetSpec};
-pub use queue::{FleetQueue, QueueStats};
+pub use queue::{par_map_ordered, FleetQueue, QueueStats};
 pub use report::{FleetCharacterization, FleetExecution, FleetReport, JobSummary};
 pub use schedule::ScheduleModel;

@@ -1,4 +1,5 @@
-//! Bounded work-stealing job queue.
+//! The fleet's worker pools: a bounded work-stealing job queue and an
+//! ordered parallel map.
 //!
 //! The coordinator pushes jobs into a bounded *injector*; each worker
 //! drains a private local deque, refilling it in batches from the
@@ -11,9 +12,16 @@
 //! results are pure functions of the job, and the aggregation layer
 //! sorts before folding — so none of the (intentionally racy) dispatch
 //! order here can leak into campaign output.
+//!
+//! When the job list is known up front and nothing is requeued,
+//! [`par_map_ordered`] is the simpler pool: workers claim indices from
+//! one shared cursor and the results come back in input order.
 
 use std::collections::VecDeque;
+use std::panic;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
+use std::thread;
 
 /// Counters describing how work actually flowed through the queue.
 /// Execution-side diagnostics only: never part of deterministic output.
@@ -178,11 +186,68 @@ impl<T> FleetQueue<T> {
     }
 }
 
+/// Maps `f` over `jobs` on `workers.min(jobs.len()).max(1)` scoped
+/// threads and returns the results in input order.
+///
+/// Each thread claims the next unclaimed index from one shared atomic
+/// cursor, so which thread runs which job, and when, is racy. None of
+/// that can reach the output: every result is stored under its job's
+/// index, and the indices are put back in order before returning. So
+/// when `f` is a pure function of its job, the output equals
+/// `jobs.iter().map(f).collect()` for any worker count. That one
+/// argument is what makes every chronicle built on this pool
+/// byte-identical across pool sizes.
+///
+/// `workers == 0` runs as one worker.
+///
+/// # Panics
+///
+/// If a job panics, its thread stops and the other threads run the
+/// remaining jobs; then the job's original payload (the first, in
+/// thread spawn order, if several panicked) is re-raised in the caller
+/// with [`std::panic::resume_unwind`].
+pub fn par_map_ordered<J: Sync, R: Send>(
+    workers: usize,
+    jobs: &[J],
+    f: impl Fn(&J) -> R + Sync,
+) -> Vec<R> {
+    // `Relaxed` suffices: the cursor only hands out indices, and the
+    // results reach the caller through `join`, which synchronizes.
+    let next = AtomicUsize::new(0);
+    let mut indexed: Vec<(usize, R)> = thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers.min(jobs.len()).max(1))
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(job) = jobs.get(i) else {
+                            break;
+                        };
+                        done.push((i, f(job)));
+                    }
+                    done
+                })
+            })
+            .collect();
+        let mut all = Vec::with_capacity(jobs.len());
+        for handle in handles {
+            match handle.join() {
+                Ok(done) => all.extend(done),
+                Err(payload) => panic::resume_unwind(payload),
+            }
+        }
+        all
+    });
+    indexed.sort_unstable_by_key(|&(i, _)| i);
+    indexed.into_iter().map(|(_, r)| r).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::sync::Arc;
-    use std::thread;
 
     #[test]
     fn drains_in_fifo_order_for_a_single_worker() {
@@ -304,5 +369,47 @@ mod tests {
             .collect();
         all.sort_unstable();
         assert_eq!(all, (0..200).collect::<Vec<_>>());
+    }
+
+    proptest! {
+        /// Any pool size, including more workers than jobs, returns
+        /// exactly the sequential map.
+        #[test]
+        fn par_map_ordered_equals_the_sequential_map(
+            jobs in proptest::collection::vec(any::<u32>(), 0..65),
+            workers in 1usize..17,
+        ) {
+            let f = |x: &u32| u64::from(*x).wrapping_mul(0x9e37_79b9) ^ 7;
+            let expected: Vec<u64> = jobs.iter().map(f).collect();
+            prop_assert_eq!(par_map_ordered(workers, &jobs, f), expected);
+        }
+    }
+
+    #[test]
+    fn zero_workers_runs_as_one_worker() {
+        let jobs: Vec<u32> = (0..10).collect();
+        let runners = Mutex::new(std::collections::HashSet::new());
+        let doubled = par_map_ordered(0, &jobs, |x| {
+            runners.lock().unwrap().insert(thread::current().id());
+            x * 2
+        });
+        assert_eq!(doubled, (0..10).map(|x| x * 2).collect::<Vec<_>>());
+        assert_eq!(runners.into_inner().unwrap().len(), 1);
+        assert!(par_map_ordered(0, &[] as &[u32], |x| *x).is_empty());
+    }
+
+    #[test]
+    fn a_job_panic_surfaces_its_own_payload() {
+        let jobs: Vec<u32> = (0..8).collect();
+        let caught = panic::catch_unwind(|| {
+            par_map_ordered(4, &jobs, |&x| {
+                if x == 5 {
+                    panic!("boom");
+                }
+                x
+            })
+        })
+        .expect_err("the job's panic reaches the caller");
+        assert_eq!(caught.downcast_ref::<&str>(), Some(&"boom"));
     }
 }

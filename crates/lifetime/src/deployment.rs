@@ -30,14 +30,13 @@ use fleet::job::{
 };
 use fleet::journal::{FleetJournal, JournalEntry, JournalStore};
 use fleet::maintenance::{BoardHealth, MaintenancePlan, MaintenancePolicy};
+use fleet::par_map_ordered;
 use fleet::population::{BoardSpec, FleetSpec};
 use guardband_core::epoch::VersionedSafePointStore;
 use guardband_core::safepoint::BoardSafePoint;
 use observatory::{BoardStream, DetectorConfig, Direction, Observatory, SloSpec, StreamBuilder};
 use std::collections::BTreeMap;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::thread;
 use telemetry::metrics::Registry;
 use telemetry::{counter, event, gauge, span, FieldValue, Level, Telemetry};
 use xgene_sim::topology::CORE_COUNT;
@@ -528,34 +527,15 @@ fn build_job(
 }
 
 /// Executes one round of jobs on a pool and returns the outcomes in
-/// `(board, attempt)` order — arrival order never escapes this function.
+/// `(board, attempt)` order. The jobs arrive in maintenance priority
+/// order, so the pool's input-ordered results are re-sorted here.
 fn run_round(
     jobs: &[(FleetJob, JobEnvironment)],
     campaign: &FleetCampaign,
     workers: usize,
 ) -> Vec<BoardOutcome> {
-    let next = AtomicUsize::new(0);
-    let mut outcomes: Vec<BoardOutcome> = thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers.min(jobs.len()).max(1))
-            .map(|_| {
-                let next = &next;
-                scope.spawn(move || {
-                    let mut done = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        let Some((job, env)) = jobs.get(i) else {
-                            break;
-                        };
-                        done.push(execute_in_env(job, campaign, env));
-                    }
-                    done
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("lifetime worker panicked"))
-            .collect()
+    let mut outcomes = par_map_ordered(workers, jobs, |(job, env)| {
+        execute_in_env(job, campaign, env)
     });
     outcomes.sort_by_key(|o| (o.board, o.attempt));
     outcomes
