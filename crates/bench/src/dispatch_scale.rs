@@ -18,6 +18,7 @@
 //! Wall-clock numbers measure the host and are NOT part of the
 //! reproducibility fingerprint.
 
+use crate::fnv1a;
 use dispatch::{run_dispatch_with_store, DispatchReport, DispatchSpec};
 use fleet::{run_fleet, FleetCampaign, FleetConfig, FleetSpec};
 use serde::{Deserialize, Serialize};
@@ -70,13 +71,6 @@ pub struct DispatchScaleData {
     pub maintenance_windows: u64,
     /// Host wall clock for the whole benchmark (not reproducible).
     pub host_wall_seconds: f64,
-}
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
 }
 
 fn spec(seed: u64) -> DispatchSpec {

@@ -45,3 +45,13 @@ pub mod redteam_scale;
 pub mod serving;
 pub mod sweep;
 pub mod table1;
+
+/// Folds `bytes` into an FNV-1a hash (start from the offset basis
+/// `0xcbf2_9ce4_8422_2325`) — the fingerprint behind the `BENCH_*.json`
+/// reproducibility fields.
+pub fn fnv1a(hash: &mut u64, bytes: &[u8]) {
+    for &b in bytes {
+        *hash ^= u64::from(b);
+        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+}

@@ -22,6 +22,7 @@
 //! of the reproducibility fingerprint — only deterministic response
 //! data (statuses, routes, bodies of lookups) is hashed.
 
+use crate::fnv1a;
 use control_plane::http::{Method, Request};
 use control_plane::loadgen::LoadProfile;
 use control_plane::metrics::Route;
@@ -101,13 +102,6 @@ struct DispatchOutcome {
     p99_us: f64,
     trace_fingerprint: u64,
     summary_fingerprint: u64,
-}
-
-fn fnv1a(hash: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *hash ^= u64::from(b);
-        *hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
 }
 
 /// Boots a control plane, runs one campaign to completion, and returns

@@ -19,8 +19,9 @@
 //!   tests and the serving benchmark;
 //! * [`server`] — the bounded worker pool over `std::net::TcpListener`
 //!   with deadline I/O and graceful drain;
-//! * [`metrics`] — the lock-free `control_plane_*` metrics family,
-//!   merged with campaign metrics into one Prometheus exposition;
+//! * [`metrics`] — the `control_plane_*` metrics family in one shared
+//!   `telemetry::Registry`, merged with campaign metrics into one
+//!   Prometheus exposition;
 //! * [`loadgen`] — seeded open-loop diurnal traffic for the `loadgen`
 //!   binary and `BENCH_serving.json`.
 //!

@@ -1,17 +1,23 @@
 //! The `control_plane_*` metrics family: request counters by route and
 //! status class, an in-flight gauge and per-route latency histograms.
 //!
-//! The serving hot path cannot share the workspace's
-//! [`telemetry::Registry`] directly — that registry is `Rc`/`RefCell`
-//! single-threaded by design. This module keeps the hot path lock-free
-//! with plain atomics (relaxed ordering: counters tolerate torn reads
-//! across series, a scrape is always a consistent-enough snapshot) and
-//! renders into a fresh `Registry` only when `/metrics` is scraped, so
-//! the exposition format stays byte-compatible with everything else the
-//! workspace exports.
+//! Every series lives in one [`telemetry::Registry`] shared by all
+//! worker threads (the registry is `Send + Sync`). Series names are
+//! formatted once, in [`ServerMetrics::new`], so recording a request is
+//! two registry updates that never allocate. A scrape merges this
+//! registry's snapshot into the campaign-derived base, so the exposition
+//! format stays byte-compatible with everything else the workspace
+//! exports.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use telemetry::metrics::{exponential_bounds, HistogramSnapshot, MetricsSnapshot, Registry};
+use telemetry::metrics::{
+    exponential_bounds, series_name, HistogramSnapshot, MetricsSnapshot, Registry,
+};
+
+const REQUESTS: &str = "control_plane_requests_total";
+const LATENCY: &str = "control_plane_request_seconds";
+const IN_FLIGHT: &str = "control_plane_in_flight";
+const CONNECTIONS: &str = "control_plane_connections_total";
+const PARSE_ERRORS: &str = "control_plane_parse_errors_total";
 
 /// The routes the server distinguishes in metrics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,24 +62,11 @@ impl Route {
             Route::Other => "other",
         }
     }
-
-    fn ordinal(self) -> usize {
-        match self {
-            Route::SafePoint => 0,
-            Route::CampaignSubmit => 1,
-            Route::CampaignStatus => 2,
-            Route::Status => 3,
-            Route::Dispatch => 4,
-            Route::Metrics => 5,
-            Route::Other => 6,
-        }
-    }
 }
 
-/// Status classes the request counter distinguishes.
-const CLASSES: [&str; 3] = ["2xx", "4xx", "5xx"];
-
-fn class_ordinal(status: u16) -> usize {
+/// Index of a status code's class in [`RouteSeries::requests`]: 2xx,
+/// 4xx, and everything else counted as 5xx.
+fn class_index(status: u16) -> usize {
     match status {
         200..=299 => 0,
         400..=499 => 1,
@@ -81,7 +74,7 @@ fn class_ordinal(status: u16) -> usize {
     }
 }
 
-/// Latency bucket bounds, seconds: 1 µs … ~4.2 s, doubling. Chosen with
+/// Latency bucket bounds, seconds: 1 µs … ~2.1 s, doubling. Chosen with
 /// [`exponential_bounds`] so an in-process dispatch (microseconds) and a
 /// slow drained connection (seconds) land in the same histogram with
 /// constant relative resolution.
@@ -89,42 +82,23 @@ pub fn latency_bounds() -> Vec<f64> {
     exponential_bounds(1e-6, 2.0, 22)
 }
 
-struct RouteLatency {
-    /// Per-bucket counts plus the `+Inf` overflow slot.
-    counts: Vec<AtomicU64>,
-    /// Sum of observations, nanoseconds (fixed-point keeps it atomic).
-    sum_nanos: AtomicU64,
-    count: AtomicU64,
-}
-
-impl RouteLatency {
-    fn new(buckets: usize) -> Self {
-        RouteLatency {
-            counts: (0..=buckets).map(|_| AtomicU64::new(0)).collect(),
-            sum_nanos: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-        }
-    }
+/// One route's series names, formatted once.
+#[derive(Debug)]
+struct RouteSeries {
+    /// `control_plane_requests_total{route,status}` for 2xx, 4xx, 5xx.
+    requests: [String; 3],
+    /// `control_plane_request_seconds{route}`.
+    latency: String,
 }
 
 /// The server's own metrics. One instance per server, shared by every
-/// worker thread; all methods are `&self` and lock-free.
+/// worker thread; all methods are `&self`.
+#[derive(Debug)]
 pub struct ServerMetrics {
-    bounds: Vec<f64>,
-    requests: [[AtomicU64; 3]; 7],
-    latency: Vec<RouteLatency>,
-    in_flight: AtomicU64,
-    connections: AtomicU64,
-    parse_errors: AtomicU64,
-}
-
-impl std::fmt::Debug for ServerMetrics {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServerMetrics")
-            .field("requests_total", &self.requests_total())
-            .field("in_flight", &self.in_flight.load(Ordering::Relaxed))
-            .finish()
-    }
+    registry: Registry,
+    /// Indexed by `Route as usize`, the declaration order [`ROUTES`]
+    /// lists.
+    routes: Vec<RouteSeries>,
 }
 
 impl Default for ServerMetrics {
@@ -136,125 +110,76 @@ impl Default for ServerMetrics {
 impl ServerMetrics {
     /// Fresh metrics with the standard latency buckets.
     pub fn new() -> Self {
+        let registry = Registry::new();
         let bounds = latency_bounds();
-        ServerMetrics {
-            latency: ROUTES
-                .iter()
-                .map(|_| RouteLatency::new(bounds.len()))
-                .collect(),
-            bounds,
-            requests: Default::default(),
-            in_flight: AtomicU64::new(0),
-            connections: AtomicU64::new(0),
-            parse_errors: AtomicU64::new(0),
-        }
+        let routes = ROUTES
+            .iter()
+            .map(|route| {
+                let label = ("route", route.label());
+                let latency = series_name(LATENCY, &[label]);
+                registry.register_histogram(&latency, &bounds);
+                RouteSeries {
+                    requests: ["2xx", "4xx", "5xx"]
+                        .map(|class| series_name(REQUESTS, &[label, ("status", class)])),
+                    latency,
+                }
+            })
+            .collect();
+        // The scalar series are exported from the first scrape on.
+        registry.counter_add(CONNECTIONS, 0);
+        registry.counter_add(PARSE_ERRORS, 0);
+        registry.gauge_set(IN_FLIGHT, 0.0);
+        ServerMetrics { registry, routes }
+    }
+
+    fn series(&self, route: Route) -> &RouteSeries {
+        &self.routes[route as usize]
     }
 
     /// Marks a request in flight; the guard decrements on drop so every
     /// exit path (including handler panics unwinding) restores the
     /// gauge.
     pub fn begin_request(&self) -> InFlightGuard<'_> {
-        self.in_flight.fetch_add(1, Ordering::Relaxed);
+        self.registry.gauge_add(IN_FLIGHT, 1.0);
         InFlightGuard { metrics: self }
     }
 
     /// Records one completed request.
     pub fn observe(&self, route: Route, status: u16, seconds: f64) {
-        self.requests[route.ordinal()][class_ordinal(status)].fetch_add(1, Ordering::Relaxed);
-        let lat = &self.latency[route.ordinal()];
-        let idx = self
-            .bounds
-            .iter()
-            .position(|&b| seconds <= b)
-            .unwrap_or(self.bounds.len());
-        lat.counts[idx].fetch_add(1, Ordering::Relaxed);
-        lat.sum_nanos
-            .fetch_add((seconds.max(0.0) * 1e9) as u64, Ordering::Relaxed);
-        lat.count.fetch_add(1, Ordering::Relaxed);
+        let series = self.series(route);
+        self.registry
+            .counter_add(&series.requests[class_index(status)], 1);
+        self.registry.observe(&series.latency, seconds);
     }
 
     /// Counts one accepted connection.
     pub fn connection_opened(&self) {
-        self.connections.fetch_add(1, Ordering::Relaxed);
+        self.registry.counter_add(CONNECTIONS, 1);
     }
 
     /// Counts one request that failed HTTP parsing.
     pub fn parse_error(&self) {
-        self.parse_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Requests observed across every route and status class.
-    pub fn requests_total(&self) -> u64 {
-        self.requests
-            .iter()
-            .flat_map(|per_class| per_class.iter())
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
+        self.registry.counter_add(PARSE_ERRORS, 1);
     }
 
     /// Requests currently in flight.
     pub fn in_flight(&self) -> u64 {
-        self.in_flight.load(Ordering::Relaxed)
+        self.registry.gauge(IN_FLIGHT).unwrap_or(0.0) as u64
     }
 
     /// One route's latency distribution as an inert snapshot (the
     /// quantile substrate for `BENCH_serving.json`).
     pub fn latency_snapshot(&self, route: Route) -> HistogramSnapshot {
-        let lat = &self.latency[route.ordinal()];
-        HistogramSnapshot {
-            bounds: self.bounds.clone(),
-            counts: lat
-                .counts
-                .iter()
-                .map(|c| c.load(Ordering::Relaxed))
-                .collect(),
-            sum: lat.sum_nanos.load(Ordering::Relaxed) as f64 / 1e9,
-            count: lat.count.load(Ordering::Relaxed),
-        }
+        self.registry
+            .histogram(&self.series(route).latency)
+            .expect("every route's histogram is registered in new")
     }
 
     /// The `control_plane_*` family as an inert, name-sorted snapshot.
+    /// Routes that have served nothing export no histogram.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::default();
-        for route in ROUTES {
-            for (class_idx, class) in CLASSES.iter().enumerate() {
-                let count = self.requests[route.ordinal()][class_idx].load(Ordering::Relaxed);
-                if count > 0 {
-                    snap.counters.push((
-                        telemetry::metrics::series_name(
-                            "control_plane_requests_total",
-                            &[("route", route.label()), ("status", class)],
-                        ),
-                        count,
-                    ));
-                }
-            }
-            let latency = self.latency_snapshot(route);
-            if latency.count > 0 {
-                snap.histograms.push((
-                    telemetry::metrics::series_name(
-                        "control_plane_request_seconds",
-                        &[("route", route.label())],
-                    ),
-                    latency,
-                ));
-            }
-        }
-        snap.counters.push((
-            "control_plane_connections_total".to_owned(),
-            self.connections.load(Ordering::Relaxed),
-        ));
-        snap.counters.push((
-            "control_plane_parse_errors_total".to_owned(),
-            self.parse_errors.load(Ordering::Relaxed),
-        ));
-        snap.gauges.push((
-            "control_plane_in_flight".to_owned(),
-            self.in_flight.load(Ordering::Relaxed) as f64,
-        ));
-        snap.counters.sort_by(|a, b| a.0.cmp(&b.0));
-        snap.gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        snap.histograms.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut snap = self.registry.snapshot();
+        snap.histograms.retain(|(_, h)| h.count > 0);
         snap
     }
 
@@ -264,14 +189,8 @@ impl ServerMetrics {
     /// from their snapshots, so scrape cost is independent of how many
     /// requests have been served.
     pub fn exposition(&self, base: &MetricsSnapshot) -> String {
-        let own = self.snapshot();
         let mut merged = base.clone();
-        merged.counters.extend(own.counters);
-        merged.gauges.extend(own.gauges);
-        merged.histograms.extend(own.histograms);
-        merged.counters.sort_by(|a, b| a.0.cmp(&b.0));
-        merged.gauges.sort_by(|a, b| a.0.cmp(&b.0));
-        merged.histograms.sort_by(|a, b| a.0.cmp(&b.0));
+        merged.merge(&self.snapshot());
         Registry::from_snapshot(&merged).prometheus()
     }
 }
@@ -284,7 +203,7 @@ pub struct InFlightGuard<'a> {
 
 impl Drop for InFlightGuard<'_> {
     fn drop(&mut self) {
-        self.metrics.in_flight.fetch_sub(1, Ordering::Relaxed);
+        self.metrics.registry.gauge_add(IN_FLIGHT, -1.0);
     }
 }
 
@@ -299,7 +218,6 @@ mod tests {
         m.observe(Route::SafePoint, 200, 2e-5);
         m.observe(Route::SafePoint, 404, 1e-5);
         m.observe(Route::Status, 500, 1e-4);
-        assert_eq!(m.requests_total(), 4);
         let text = m.exposition(&MetricsSnapshot::default());
         assert!(
             text.contains("control_plane_requests_total{route=\"safe_point\",status=\"2xx\"} 2")
@@ -309,6 +227,15 @@ mod tests {
         );
         assert!(text.contains("control_plane_requests_total{route=\"status\",status=\"5xx\"} 1"));
         assert!(text.contains("control_plane_in_flight 0"));
+    }
+
+    #[test]
+    fn routes_index_their_series_in_declaration_order() {
+        let m = ServerMetrics::new();
+        for (index, route) in ROUTES.into_iter().enumerate() {
+            assert_eq!(route as usize, index);
+            assert!(m.series(route).latency.contains(route.label()));
+        }
     }
 
     #[test]

@@ -23,6 +23,7 @@ use power_model::units::Millivolts;
 use std::collections::BTreeMap;
 use std::sync::mpsc;
 use std::thread;
+use telemetry::metrics::MetricsSnapshot;
 use telemetry::{counter, event, gauge, observe, span, FieldValue, Level};
 
 /// Per-board power-savings floor for the fleet SLO, watts. A
@@ -265,13 +266,11 @@ fn aggregate(
     let costs: Vec<f64> = outcomes.iter().map(|o| o.sim_cost_seconds).collect();
     let plan = ScheduleModel::plan(&costs, config.workers);
 
-    let mut summed: BTreeMap<String, u64> = BTreeMap::new();
+    let mut summed = MetricsSnapshot::default();
     for outcome in &outcomes {
-        for (name, value) in &outcome.metrics.counters {
-            *summed.entry(name.clone()).or_insert(0) += value;
-        }
+        summed.merge(&outcome.metrics);
     }
-    let campaign_counters: Vec<(String, u64)> = summed.into_iter().collect();
+    let campaign_counters = summed.counters;
 
     counter!("fleet_jobs_total", outcomes.len() as u64);
     counter!("fleet_requeues_total", requeues);

@@ -35,9 +35,8 @@ use fleet::population::{BoardSpec, FleetSpec};
 use guardband_core::epoch::VersionedSafePointStore;
 use guardband_core::safepoint::BoardSafePoint;
 use observatory::{BoardStream, DetectorConfig, Direction, Observatory, SloSpec, StreamBuilder};
-use std::collections::BTreeMap;
 use std::rc::Rc;
-use telemetry::metrics::Registry;
+use telemetry::metrics::{MetricsSnapshot, Registry};
 use telemetry::{counter, event, gauge, span, FieldValue, Level, Telemetry};
 use xgene_sim::topology::CORE_COUNT;
 
@@ -285,7 +284,7 @@ fn run_deployment_with(
     let cold_steps_per_walk = cold_walk_setups(&spec.campaign.vmin_campaign(None));
 
     let mut epochs = VersionedSafePointStore::new();
-    let mut job_counters: BTreeMap<String, u64> = BTreeMap::new();
+    let mut job_metrics = MetricsSnapshot::default();
     let mut months_log: Vec<MonthRecord> = Vec::new();
     let mut recharacterizations = 0u64;
     let mut warm_walked_steps = 0u64;
@@ -301,7 +300,7 @@ fn run_deployment_with(
     let outcomes = round(0, &initial)?;
     let mut jobs_total = outcomes.len() as u64;
     rounds += 1;
-    absorb(&mut epochs, 0, &outcomes, &mut job_counters);
+    absorb(&mut epochs, 0, &outcomes, &mut job_metrics);
 
     // The observatory watches the whole life: month = epoch. Job traces
     // live in the per-board seq namespace; the coordinator's monthly
@@ -425,7 +424,7 @@ fn run_deployment_with(
             recharacterizations += outcomes.len() as u64;
             warm_walked_steps += outcomes.iter().map(|o| o.walked_steps).sum::<u64>();
             counter!("lifetime_recharacterizations_total", outcomes.len() as u64);
-            absorb(&mut epochs, month, &outcomes, &mut job_counters);
+            absorb(&mut epochs, month, &outcomes, &mut job_metrics);
             for outcome in &outcomes {
                 obs.ingest_stream(BoardStream::from_events(
                     u64::from(month),
@@ -455,11 +454,10 @@ fn run_deployment_with(
 
     drop(guard);
     // Merge the coordinator's own counters (maintenance triggers, SDC
-    // tallies) with the per-job sums; both are pure, so the merged map
-    // is too. Wall-clock histograms measure the host and are dropped.
-    for (name, value) in &registry.snapshot().counters {
-        *job_counters.entry(name.clone()).or_insert(0) += value;
-    }
+    // tallies) with the per-job sums; both are pure, so the merged
+    // counters are too. Wall-clock histograms measure the host and are
+    // dropped.
+    job_metrics.merge(&registry.snapshot());
 
     let chronicle = LifetimeChronicle {
         boards: spec.fleet.boards,
@@ -472,7 +470,7 @@ fn run_deployment_with(
         warm_walked_steps,
         cold_equivalent_steps: recharacterizations * cold_steps_per_walk,
         production_sdc_board_months: sdc_board_months,
-        campaign_counters: job_counters.into_iter().collect(),
+        campaign_counters: job_metrics.counters,
     };
     let execution = LifetimeExecution {
         workers: config.workers,
@@ -542,18 +540,16 @@ fn run_round(
 }
 
 /// Commits one round's records as epoch `month` and folds each job's
-/// telemetry counters into the (sorted, deterministic) fleet sum.
+/// telemetry into the (sorted, deterministic) fleet sum.
 fn absorb(
     epochs: &mut VersionedSafePointStore,
     month: u32,
     outcomes: &[BoardOutcome],
-    counters: &mut BTreeMap<String, u64>,
+    metrics: &mut MetricsSnapshot,
 ) {
     for outcome in outcomes {
         epochs.insert(month, outcome.record.clone());
-        for (name, value) in &outcome.metrics.counters {
-            *counters.entry(name.clone()).or_insert(0) += value;
-        }
+        metrics.merge(&outcome.metrics);
     }
 }
 

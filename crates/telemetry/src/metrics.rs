@@ -1,17 +1,21 @@
 //! The metrics registry: counters, gauges and fixed-bucket histograms
 //! with Prometheus-style text exposition and JSON export.
 //!
-//! A [`Registry`] is a plain value with interior mutability — share it as
-//! `Rc<Registry>` between the telemetry context (so the `counter!` /
-//! `gauge!` / `observe!` macros can reach it) and the reporting code that
-//! renders it at the end of a campaign. Snapshots ([`MetricsSnapshot`])
-//! are inert serializable data, used both for JSON export and for
-//! embedding campaign metrics in checkpoints.
+//! A [`Registry`] is a plain value behind one internal lock, and it is
+//! `Send + Sync`. Within a campaign, share it as `Rc<Registry>` between
+//! the telemetry context (so the `counter!` / `gauge!` / `observe!`
+//! macros can reach it) and the reporting code that renders it at the
+//! end; across threads, as in the control plane's server, share it as
+//! `Arc<Registry>` or inside an `Arc`-shared owner. Updating an existing
+//! series never allocates. Snapshots ([`MetricsSnapshot`]) are inert
+//! serializable data, used for JSON export, for embedding campaign
+//! metrics in checkpoints and for merging per-job metrics
+//! ([`MetricsSnapshot::merge`]).
 
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Default buckets for wall-clock durations, in seconds (1 µs … 10 s).
 pub const WALL_SECONDS_BUCKETS: [f64; 8] = [1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0, 10.0];
@@ -255,6 +259,57 @@ impl MetricsSnapshot {
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         lookup(&self.histograms, name)
     }
+
+    /// Folds `other` into this snapshot: counters are summed, histograms
+    /// with matching bounds are added bucket by bucket, and a gauge or a
+    /// histogram with different bounds takes `other`'s value. The result
+    /// is name-sorted whatever order either input was in.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use telemetry::metrics::Registry;
+    ///
+    /// let (a, b) = (Registry::new(), Registry::new());
+    /// a.counter_add("jobs_total", 2);
+    /// b.counter_add("jobs_total", 3);
+    /// b.gauge_set("margin_mv", 40.0);
+    /// let mut merged = a.snapshot();
+    /// merged.merge(&b.snapshot());
+    /// assert_eq!(merged.counter("jobs_total"), Some(5));
+    /// assert_eq!(merged.gauge("margin_mv"), Some(40.0));
+    /// ```
+    pub fn merge(&mut self, other: &MetricsSnapshot) {
+        fn fold<V: Clone>(
+            into: &mut Vec<(String, V)>,
+            from: &[(String, V)],
+            combine: fn(&mut V, &V),
+        ) {
+            let mut merged: BTreeMap<String, V> = std::mem::take(into).into_iter().collect();
+            for (name, value) in from {
+                match merged.get_mut(name) {
+                    Some(mine) => combine(mine, value),
+                    None => {
+                        merged.insert(name.clone(), value.clone());
+                    }
+                }
+            }
+            *into = merged.into_iter().collect();
+        }
+        fold(&mut self.counters, &other.counters, |a, b| *a += b);
+        fold(&mut self.gauges, &other.gauges, |a, b| *a = *b);
+        fold(&mut self.histograms, &other.histograms, |a, b| {
+            if a.bounds == b.bounds {
+                for (count, add) in a.counts.iter_mut().zip(&b.counts) {
+                    *count += add;
+                }
+                a.sum += b.sum;
+                a.count += b.count;
+            } else {
+                *a = b.clone();
+            }
+        });
+    }
 }
 
 impl HistogramSnapshot {
@@ -336,12 +391,10 @@ pub fn series_name(name: &str, labels: &[(&str, &str)]) -> String {
     format!("{name}{}", label_signature(labels))
 }
 
-/// Splits a full series name into `(family, label signature)`.
-fn split_series(name: &str) -> (&str, String) {
-    match name.split_once('{') {
-        Some((family, rest)) => (family, format!("{{{rest}")),
-        None => (name, String::new()),
-    }
+/// Splits a full series name into `(family, label signature)`, both
+/// borrowed from `name`.
+fn split_series(name: &str) -> (&str, &str) {
+    name.split_at(name.find('{').unwrap_or(name.len()))
 }
 
 /// Inserts `le="bound"` as the last label of a (possibly empty)
@@ -354,19 +407,50 @@ fn bucket_signature(sig: &str, bound: &str) -> String {
     }
 }
 
-/// Per-family series maps: family name → label signature → value, with
-/// the empty signature holding the bare (unlabeled) series. Keeping
-/// families separate (rather than flat `name{labels}` strings) is what
-/// makes Prometheus exposition group a family under one `# TYPE` line —
-/// a flat map would interleave, since `'_'` sorts before `'{'`.
-#[derive(Debug, Default)]
-struct RegistryInner {
-    counters: BTreeMap<String, BTreeMap<String, u64>>,
-    gauges: BTreeMap<String, BTreeMap<String, f64>>,
-    histograms: BTreeMap<String, BTreeMap<String, Histogram>>,
+/// Family name → label signature → value, with the empty signature
+/// holding the bare (unlabeled) series. Keeping families separate
+/// (rather than flat `name{labels}` strings) is what makes Prometheus
+/// exposition group a family under one `# TYPE` line — a flat map would
+/// interleave, since `'_'` sorts before `'{'`.
+type Families<V> = BTreeMap<String, BTreeMap<String, V>>;
+
+/// Applies `apply` to one series, looked up by borrowed family and
+/// signature so a hit never allocates. A miss builds the value with
+/// `init` before inserting anything, so a panicking `init` (invalid
+/// histogram bounds) leaves the map exactly as it was.
+fn update<V>(
+    families: &mut Families<V>,
+    family: &str,
+    sig: &str,
+    init: impl FnOnce() -> V,
+    apply: impl FnOnce(&mut V),
+) {
+    if let Some(value) = families.get_mut(family).and_then(|s| s.get_mut(sig)) {
+        apply(value);
+        return;
+    }
+    let mut value = init();
+    apply(&mut value);
+    families
+        .entry(family.to_owned())
+        .or_default()
+        .insert(sig.to_owned(), value);
 }
 
-/// The metrics registry.
+/// Looks up one series by borrowed family and signature.
+fn get<'a, V>(families: &'a Families<V>, family: &str, sig: &str) -> Option<&'a V> {
+    families.get(family).and_then(|series| series.get(sig))
+}
+
+#[derive(Debug, Default)]
+struct RegistryInner {
+    counters: Families<u64>,
+    gauges: Families<f64>,
+    histograms: Families<Histogram>,
+}
+
+/// The metrics registry. `Send + Sync`: every method takes `&self` and
+/// holds one short internal lock.
 ///
 /// # Examples
 ///
@@ -388,8 +472,14 @@ struct RegistryInner {
 /// ```
 #[derive(Debug, Default)]
 pub struct Registry {
-    inner: RefCell<RegistryInner>,
+    inner: Mutex<RegistryInner>,
 }
+
+// The serving tier shares one registry across its worker threads.
+const _: fn() = || {
+    fn assert_send_sync<T: Send + Sync>() {}
+    assert_send_sync::<Registry>();
+};
 
 impl Registry {
     /// An empty registry.
@@ -397,83 +487,63 @@ impl Registry {
         Registry::default()
     }
 
+    /// The registry's state. A panic under the lock cannot leave a torn
+    /// series (see [`update`]), so a poisoned lock is recovered rather
+    /// than turning every later metric call into a panic.
+    fn lock(&self) -> MutexGuard<'_, RegistryInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Rebuilds a registry from a snapshot (counters and gauges restored
     /// exactly; histograms keep their bounds and counts). Labeled series
     /// names are parsed back into their family and signature.
     pub fn from_snapshot(snapshot: &MetricsSnapshot) -> Self {
-        let reg = Registry::new();
-        {
-            let mut inner = reg.inner.borrow_mut();
-            for (name, v) in &snapshot.counters {
+        fn restore<S, V>(families: &mut Families<V>, series: &[(String, S)], value: fn(&S) -> V) {
+            for (name, v) in series {
                 let (family, sig) = split_series(name);
-                inner
-                    .counters
+                families
                     .entry(family.to_owned())
                     .or_default()
-                    .insert(sig, *v);
-            }
-            for (name, v) in &snapshot.gauges {
-                let (family, sig) = split_series(name);
-                inner
-                    .gauges
-                    .entry(family.to_owned())
-                    .or_default()
-                    .insert(sig, *v);
-            }
-            for (name, h) in &snapshot.histograms {
-                let (family, sig) = split_series(name);
-                inner
-                    .histograms
-                    .entry(family.to_owned())
-                    .or_default()
-                    .insert(
-                        sig,
-                        Histogram {
-                            bounds: h.bounds.clone(),
-                            counts: h.counts.clone(),
-                            sum: h.sum,
-                            count: h.count,
-                        },
-                    );
+                    .insert(sig.to_owned(), value(v));
             }
         }
-        reg
+        let mut inner = RegistryInner::default();
+        restore(&mut inner.counters, &snapshot.counters, |v| *v);
+        restore(&mut inner.gauges, &snapshot.gauges, |v| *v);
+        restore(&mut inner.histograms, &snapshot.histograms, |h| Histogram {
+            bounds: h.bounds.clone(),
+            counts: h.counts.clone(),
+            sum: h.sum,
+            count: h.count,
+        });
+        Registry {
+            inner: Mutex::new(inner),
+        }
     }
 
     /// Adds `delta` to a counter (created at zero on first touch). A
     /// `name{labels}` series name addresses the labeled series.
     pub fn counter_add(&self, name: &str, delta: u64) {
         let (family, sig) = split_series(name);
-        *self
-            .inner
-            .borrow_mut()
-            .counters
-            .entry(family.to_owned())
-            .or_default()
-            .entry(sig)
-            .or_insert(0) += delta;
+        update(
+            &mut self.lock().counters,
+            family,
+            sig,
+            || 0,
+            |c| *c += delta,
+        );
     }
 
     /// Adds `delta` to the labeled series of a counter family.
     pub fn counter_add_labeled(&self, name: &str, labels: &[(&str, &str)], delta: u64) {
-        *self
-            .inner
-            .borrow_mut()
-            .counters
-            .entry(name.to_owned())
-            .or_default()
-            .entry(label_signature(labels))
-            .or_insert(0) += delta;
+        let sig = label_signature(labels);
+        update(&mut self.lock().counters, name, &sig, || 0, |c| *c += delta);
     }
 
     /// Current value of a counter (zero if never touched).
     pub fn counter(&self, name: &str) -> u64 {
         let (family, sig) = split_series(name);
-        self.inner
-            .borrow()
-            .counters
-            .get(family)
-            .and_then(|series| series.get(&sig))
+        get(&self.lock().counters, family, sig)
             .copied()
             .unwrap_or(0)
     }
@@ -481,56 +551,46 @@ impl Registry {
     /// Current value of a labeled counter series (zero if never
     /// touched).
     pub fn counter_labeled(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        self.inner
-            .borrow()
-            .counters
-            .get(name)
-            .and_then(|series| series.get(&label_signature(labels)))
-            .copied()
-            .unwrap_or(0)
+        let sig = label_signature(labels);
+        get(&self.lock().counters, name, &sig).copied().unwrap_or(0)
     }
 
     /// Sets a gauge. A `name{labels}` series name addresses the labeled
     /// series.
     pub fn gauge_set(&self, name: &str, value: f64) {
         let (family, sig) = split_series(name);
-        self.inner
-            .borrow_mut()
-            .gauges
-            .entry(family.to_owned())
-            .or_default()
-            .insert(sig, value);
+        update(&mut self.lock().gauges, family, sig, || 0.0, |g| *g = value);
+    }
+
+    /// Adds `delta` (possibly negative) to a gauge, created at zero on
+    /// first touch — an up/down count such as requests in flight.
+    pub fn gauge_add(&self, name: &str, delta: f64) {
+        let (family, sig) = split_series(name);
+        update(
+            &mut self.lock().gauges,
+            family,
+            sig,
+            || 0.0,
+            |g| *g += delta,
+        );
     }
 
     /// Sets the labeled series of a gauge family.
     pub fn gauge_set_labeled(&self, name: &str, labels: &[(&str, &str)], value: f64) {
-        self.inner
-            .borrow_mut()
-            .gauges
-            .entry(name.to_owned())
-            .or_default()
-            .insert(label_signature(labels), value);
+        let sig = label_signature(labels);
+        update(&mut self.lock().gauges, name, &sig, || 0.0, |g| *g = value);
     }
 
     /// Current value of a gauge, if ever set.
     pub fn gauge(&self, name: &str) -> Option<f64> {
         let (family, sig) = split_series(name);
-        self.inner
-            .borrow()
-            .gauges
-            .get(family)
-            .and_then(|series| series.get(&sig))
-            .copied()
+        get(&self.lock().gauges, family, sig).copied()
     }
 
     /// Current value of a labeled gauge series, if ever set.
     pub fn gauge_labeled(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        self.inner
-            .borrow()
-            .gauges
-            .get(name)
-            .and_then(|series| series.get(&label_signature(labels)))
-            .copied()
+        let sig = label_signature(labels);
+        get(&self.lock().gauges, name, &sig).copied()
     }
 
     /// Declares a histogram with explicit bucket bounds. Re-declaring an
@@ -539,54 +599,49 @@ impl Registry {
     ///
     /// # Panics
     ///
-    /// Panics on invalid bounds (see [`Histogram::new`]).
+    /// Panics on invalid bounds (see [`Histogram::new`]); the registry
+    /// is left unchanged and stays usable.
     pub fn register_histogram(&self, name: &str, bounds: &[f64]) {
         let (family, sig) = split_series(name);
-        self.inner
-            .borrow_mut()
-            .histograms
-            .entry(family.to_owned())
-            .or_default()
-            .entry(sig)
-            .or_insert_with(|| Histogram::new(bounds));
+        update(
+            &mut self.lock().histograms,
+            family,
+            sig,
+            || Histogram::new(bounds),
+            |_| {},
+        );
     }
 
     /// Records one observation; auto-creates the histogram with
     /// [`SIM_MS_BUCKETS`] if it was never declared.
     pub fn observe(&self, name: &str, value: f64) {
         let (family, sig) = split_series(name);
-        self.inner
-            .borrow_mut()
-            .histograms
-            .entry(family.to_owned())
-            .or_default()
-            .entry(sig)
-            .or_insert_with(|| Histogram::new(&SIM_MS_BUCKETS))
-            .observe(value);
+        update(
+            &mut self.lock().histograms,
+            family,
+            sig,
+            || Histogram::new(&SIM_MS_BUCKETS),
+            |h| h.observe(value),
+        );
     }
 
     /// Records one observation on the labeled series of a histogram
     /// family (auto-created with [`SIM_MS_BUCKETS`] if undeclared).
     pub fn observe_labeled(&self, name: &str, labels: &[(&str, &str)], value: f64) {
-        self.inner
-            .borrow_mut()
-            .histograms
-            .entry(name.to_owned())
-            .or_default()
-            .entry(label_signature(labels))
-            .or_insert_with(|| Histogram::new(&SIM_MS_BUCKETS))
-            .observe(value);
+        let sig = label_signature(labels);
+        update(
+            &mut self.lock().histograms,
+            name,
+            &sig,
+            || Histogram::new(&SIM_MS_BUCKETS),
+            |h| h.observe(value),
+        );
     }
 
     /// A histogram's snapshot, if it exists.
     pub fn histogram(&self, name: &str) -> Option<HistogramSnapshot> {
         let (family, sig) = split_series(name);
-        self.inner
-            .borrow()
-            .histograms
-            .get(family)
-            .and_then(|series| series.get(&sig))
-            .map(Histogram::snapshot)
+        get(&self.lock().histograms, family, sig).map(Histogram::snapshot)
     }
 
     /// Estimated `q`-quantile of a histogram (see
@@ -594,22 +649,14 @@ impl Registry {
     /// exist or is empty.
     pub fn quantile(&self, name: &str, q: f64) -> Option<f64> {
         let (family, sig) = split_series(name);
-        self.inner
-            .borrow()
-            .histograms
-            .get(family)
-            .and_then(|series| series.get(&sig))
-            .and_then(|h| h.quantile(q))
+        get(&self.lock().histograms, family, sig).and_then(|h| h.quantile(q))
     }
 
     /// The inert snapshot of everything in the registry, with every
     /// vector sorted by full series name (the invariant
     /// [`MetricsSnapshot`] lookups binary-search on).
     pub fn snapshot(&self) -> MetricsSnapshot {
-        fn flatten<V, S>(
-            families: &BTreeMap<String, BTreeMap<String, V>>,
-            snap: fn(&V) -> S,
-        ) -> Vec<(String, S)> {
+        fn flatten<V, S>(families: &Families<V>, snap: fn(&V) -> S) -> Vec<(String, S)> {
             let mut out: Vec<(String, S)> = families
                 .iter()
                 .flat_map(|(family, series)| {
@@ -623,7 +670,7 @@ impl Registry {
             out.sort_by(|a, b| a.0.cmp(&b.0));
             out
         }
-        let inner = self.inner.borrow();
+        let inner = self.lock();
         MetricsSnapshot {
             counters: flatten(&inner.counters, |v| *v),
             gauges: flatten(&inner.gauges, |v| *v),
@@ -636,7 +683,7 @@ impl Registry {
     /// per family, the bare series first and labeled series after it in
     /// signature order.
     pub fn prometheus(&self) -> String {
-        let inner = self.inner.borrow();
+        let inner = self.lock();
         let mut out = String::new();
         for (family, series) in &inner.counters {
             let _ = writeln!(out, "# TYPE {family} counter");
@@ -999,5 +1046,122 @@ lat_ms_count{board=\"b2\"} 1
         let h = reg.histogram("implicit").unwrap();
         assert_eq!(h.bounds, SIM_MS_BUCKETS.to_vec());
         assert_eq!(h.count, 1);
+    }
+
+    #[test]
+    fn gauge_add_counts_up_and_down() {
+        let reg = Registry::new();
+        reg.gauge_add("in_flight", 1.0);
+        reg.gauge_add("in_flight", 1.0);
+        reg.gauge_add("in_flight", -1.0);
+        assert_eq!(reg.gauge("in_flight"), Some(1.0));
+        reg.gauge_add("depth{queue=\"a\"}", -2.0);
+        assert_eq!(reg.gauge_labeled("depth", &[("queue", "a")]), Some(-2.0));
+    }
+
+    #[test]
+    fn concurrent_updates_from_many_threads_are_exact() {
+        const THREADS: usize = 8;
+        const OPS: u64 = 10_000;
+        let reg = std::sync::Arc::new(Registry::new());
+        reg.register_histogram("lat", &[1.0, 10.0, 100.0]);
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let reg = reg.clone();
+                std::thread::spawn(move || {
+                    let worker = format!("w{t}");
+                    for i in 0..OPS {
+                        reg.counter_add_labeled("ops_total", &[("worker", &worker)], 1);
+                        // Cycles through (0,1], (1,10], (10,100] and +Inf.
+                        reg.observe("lat", [0.5, 5.0, 50.0, 500.0][(i % 4) as usize]);
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            handle.join().unwrap();
+        }
+        for t in 0..THREADS {
+            let worker = format!("w{t}");
+            assert_eq!(
+                reg.counter_labeled("ops_total", &[("worker", &worker)]),
+                OPS
+            );
+        }
+        let lat = reg.histogram("lat").unwrap();
+        let per_bucket = THREADS as u64 * OPS / 4;
+        assert_eq!(lat.counts, vec![per_bucket; 4]);
+        assert_eq!(lat.count, THREADS as u64 * OPS);
+        assert_eq!(lat.sum, 555.5 * per_bucket as f64);
+    }
+
+    #[test]
+    fn a_panic_under_the_lock_leaves_the_registry_usable() {
+        let reg = Registry::new();
+        reg.counter_add("before", 1);
+        let invalid = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            reg.register_histogram("x", &[]);
+        }));
+        assert!(invalid.is_err(), "empty bounds must be rejected");
+        reg.counter_add("after", 2);
+        assert_eq!(reg.counter("before"), 1);
+        assert_eq!(reg.counter("after"), 2);
+        let text = reg.prometheus();
+        assert_eq!(
+            text,
+            "# TYPE after counter\nafter 2\n# TYPE before counter\nbefore 1\n"
+        );
+        assert_eq!(reg.histogram("x"), None);
+    }
+
+    #[test]
+    fn merge_sums_counters_adds_histograms_and_sorts() {
+        let a = Registry::new();
+        a.counter_add("jobs_total", 2);
+        a.counter_add_labeled("ce_total", &[("board", "b2")], 1);
+        a.gauge_set("margin_mv", 10.0);
+        a.register_histogram("lat", &[1.0, 10.0]);
+        a.observe("lat", 0.5);
+        a.register_histogram("other", &[1.0]);
+        a.observe("other", 0.5);
+        let b = Registry::new();
+        b.counter_add("jobs_total", 3);
+        b.counter_add("aborts_total", 1);
+        b.gauge_set("margin_mv", 20.0);
+        b.register_histogram("lat", &[1.0, 10.0]);
+        b.observe("lat", 5.0);
+        b.observe("lat", 50.0);
+        b.register_histogram("other", &[2.0]);
+        b.observe("other", 1.5);
+
+        let mut merged = a.snapshot();
+        merged.merge(&b.snapshot());
+        let names: Vec<&str> = merged.counters.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            names,
+            ["aborts_total", "ce_total{board=\"b2\"}", "jobs_total"]
+        );
+        assert_eq!(merged.counter("jobs_total"), Some(5));
+        assert_eq!(merged.gauge("margin_mv"), Some(20.0));
+        let lat = merged.histogram("lat").unwrap();
+        assert_eq!(lat.counts, vec![1, 1, 1]);
+        assert_eq!((lat.count, lat.sum), (3, 55.5));
+        // Mismatched bounds cannot be added: the later histogram wins.
+        assert_eq!(merged.histogram("other"), b.snapshot().histogram("other"));
+
+        // Unsorted hand-built input still merges into a sorted snapshot.
+        let mut unsorted = MetricsSnapshot {
+            counters: vec![("z".to_owned(), 1), ("a".to_owned(), 1)],
+            ..MetricsSnapshot::default()
+        };
+        unsorted.merge(&MetricsSnapshot::default());
+        assert_eq!(unsorted.counter("a"), Some(1));
+        assert_eq!(unsorted.counters[0].0, "a");
+    }
+
+    #[test]
+    fn series_names_split_without_copying() {
+        assert_eq!(split_series("jobs_total"), ("jobs_total", ""));
+        assert_eq!(split_series("lat{board=\"b2\"}"), ("lat", "{board=\"b2\"}"));
     }
 }

@@ -112,8 +112,8 @@ impl CanaryKernel {
     /// corrupted checksum. Guaranteed (and tested) to differ from golden
     /// for every seed: the flipped word enters the FNV fold directly.
     pub fn run_corrupted(&self, fault_seed: u64) -> u64 {
-        let word = (splitmix64(fault_seed) % self.words as u64) as usize;
-        let bit = (splitmix64(fault_seed ^ 0x9E37_79B9) % 64) as u32;
+        let word = (rand::splitmix64(fault_seed) % self.words as u64) as usize;
+        let bit = (rand::splitmix64(fault_seed ^ 0x9E37_79B9) % 64) as u32;
         self.checksum(Some((word, bit)))
     }
 
@@ -147,15 +147,6 @@ impl CanaryKernel {
         }
         digest
     }
-}
-
-/// SplitMix64 finalizer — used to spread fault seeds over (word, bit)
-/// positions without a generator state.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
